@@ -31,13 +31,18 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
   la::Workspace& arena = ws ? *ws : ws_;
   if (members.empty()) throw std::invalid_argument("MorphingEnKF: no members");
   const std::size_t nfields = members.front().fields.size();
-  for (const auto& m : members)
+  // Every check happens here: a throw inside the parallel regions below
+  // would terminate the process.
+  if (nfields == 0) throw std::invalid_argument("MorphingEnKF: no fields");
+  for (const auto& m : members) {
     if (m.fields.size() != nfields)
       throw std::invalid_argument("MorphingEnKF: ragged members");
+    for (const auto& f : m.fields)
+      if (!f.same_shape(data))
+        throw std::invalid_argument("MorphingEnKF: data shape mismatch");
+  }
   const int N = static_cast<int>(members.size());
   const int nx = data.nx(), ny = data.ny();
-  if (!members.front().fields[0].same_shape(data))
-    throw std::invalid_argument("MorphingEnKF: data shape mismatch");
   const int npix = nx * ny;
 
   MorphingStats stats;
@@ -46,23 +51,27 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
   std::vector<util::Array2D<double>> u0(nfields);
   for (std::size_t f = 0; f < nfields; ++f) u0[f] = field_mean(members, f);
 
-  // Encode members: register field 0, compute residuals for all fields with
-  // the member's mapping.
+  // Encode members: register field 0, then compute residuals for all fields
+  // through one inverse of the member's mapping.
   std::vector<Mapping> T(static_cast<std::size_t>(N));
   std::vector<std::vector<util::Array2D<double>>> R(
       static_cast<std::size_t>(N));
-  double reg_res = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic) reduction(+ : reg_res))
+  std::vector<double> reg_res(static_cast<std::size_t>(N));
+WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   for (int k = 0; k < N; ++k) {
     RegistrationResult reg =
         register_fields(members[k].fields[0], u0[0], opt_.reg);
-    reg_res += reg.data_term;
+    reg_res[k] = reg.data_term;
     T[k] = std::move(reg.T);
+    const Mapping Tinv = invert(T[k]);
     R[k].resize(nfields);
     for (std::size_t f = 0; f < nfields; ++f)
-      R[k][f] = morph_residual(members[k].fields[f], u0[f], T[k]);
+      R[k][f] = morph_residual_inverse(members[k].fields[f], u0[f], Tinv);
   }
-  stats.mean_registration_residual = reg_res / N;
+  // Summed in member order, so the mean is thread-count invariant.
+  double reg_sum = 0;
+  for (const double r : reg_res) reg_sum += r;
+  stats.mean_registration_residual = reg_sum / N;
   for (int k = 0; k < N; ++k)
     stats.max_mapping_norm = std::max(stats.max_mapping_norm, T[k].max_norm());
 

@@ -7,9 +7,14 @@ namespace wfire::morphing {
 util::Array2D<double> morph_residual(const util::Array2D<double>& u,
                                      const util::Array2D<double>& u0,
                                      const Mapping& T) {
+  return morph_residual_inverse(u, u0, invert(T));
+}
+
+util::Array2D<double> morph_residual_inverse(const util::Array2D<double>& u,
+                                             const util::Array2D<double>& u0,
+                                             const Mapping& Tinv) {
   if (!u.same_shape(u0))
     throw std::invalid_argument("morph_residual: shape mismatch");
-  const Mapping Tinv = invert(T);
   util::Array2D<double> warped;
   warp(u, Tinv, warped);  // u o (I+T)^{-1}
   for (int j = 0; j < u.ny(); ++j)

@@ -30,6 +30,12 @@ struct MorphRep {
     const util::Array2D<double>& u, const util::Array2D<double>& u0,
     const Mapping& T);
 
+// The same residual given Tinv = invert(T), so several fields that share one
+// mapping (a member's companions) pay for a single inversion.
+[[nodiscard]] util::Array2D<double> morph_residual_inverse(
+    const util::Array2D<double>& u, const util::Array2D<double>& u0,
+    const Mapping& Tinv);
+
 // Full encode: register u against u0, then compute the residual.
 [[nodiscard]] MorphRep morph_encode(const util::Array2D<double>& u,
                                     const util::Array2D<double>& u0,

@@ -13,32 +13,47 @@ namespace wfire::morphing {
 
 namespace {
 
-// Objective evaluation (for reporting and the acceptance test).
-double objective(const util::Array2D<double>& u,
-                 const util::Array2D<double>& u0, const Mapping& T, double c1,
-                 double c2, util::Array2D<double>& warped) {
+// Clamped neighbour indices along one axis of length n.
+inline int below(int i) { return i > 0 ? i - 1 : 0; }
+inline int above(int i, int n) { return i + 1 < n ? i + 1 : n - 1; }
+
+struct Objective {
+  double value = 0;  // full objective per pixel
+  double data = 0;   // ||u - u0 o (I+T)||^2 per pixel
+};
+
+// Warps u0 through T into `warped` (an element-wise parallel pass), then
+// evaluates the objective. The sums run sequentially in j-major order at any
+// OpenMP team width, so the value the stopping test reads is bitwise
+// thread-invariant.
+Objective objective(const util::Array2D<double>& u,
+                    const util::Array2D<double>& u0, const Mapping& T,
+                    double c1, double c2, util::Array2D<double>& warped) {
   const int nx = u.nx(), ny = u.ny();
   warp(u0, T, warped);
   double data = 0, reg1 = 0, reg2 = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(+ : data, reg1, reg2))
   for (int j = 0; j < ny; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    const double* ur = u.data() + row;
+    const double* tx = T.tx.data() + row;
+    const double* ty = T.ty.data() + row;
+    const double* wr = warped.data() + row;
     for (int i = 0; i < nx; ++i) {
-      const double e = warped(i, j) - u(i, j);
+      const double e = wr[i] - ur[i];
       data += e * e;
-      const double tx = T.tx(i, j), ty = T.ty(i, j);
-      reg1 += tx * tx + ty * ty;
+      reg1 += tx[i] * tx[i] + ty[i] * ty[i];
       if (i + 1 < nx) {
-        const double dx1 = T.tx(i + 1, j) - tx, dy1 = T.ty(i + 1, j) - ty;
+        const double dx1 = tx[i + 1] - tx[i], dy1 = ty[i + 1] - ty[i];
         reg2 += dx1 * dx1 + dy1 * dy1;
       }
       if (j + 1 < ny) {
-        const double dx2 = T.tx(i, j + 1) - tx, dy2 = T.ty(i, j + 1) - ty;
+        const double dx2 = tx[i + nx] - tx[i], dy2 = ty[i + nx] - ty[i];
         reg2 += dx2 * dx2 + dy2 * dy2;
       }
     }
   }
-  return (data + c1 * reg1 + c2 * reg2) /
-         (static_cast<double>(nx) * ny);
+  const double npix = static_cast<double>(nx) * ny;
+  return {(data + c1 * reg1 + c2 * reg2) / npix, data / npix};
 }
 
 // One Gauss-Newton / iterative-warping sweep: linearize
@@ -50,53 +65,64 @@ void gauss_newton_sweep(const util::Array2D<double>& u,
   const int nx = u.nx(), ny = u.ny();
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const double e = warped(i, j) - u(i, j);
-      const double gx =
-          0.5 * (warped.at_clamped(i + 1, j) - warped.at_clamped(i - 1, j));
-      const double gy =
-          0.5 * (warped.at_clamped(i, j + 1) - warped.at_clamped(i, j - 1));
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    const double* w = warped.data() + row;
+    const double* ws = warped.data() + static_cast<std::size_t>(below(j)) * nx;
+    const double* wn =
+        warped.data() + static_cast<std::size_t>(above(j, ny)) * nx;
+    const double* ur = u.data() + row;
+    double* tx = T.tx.data() + row;
+    double* ty = T.ty.data() + row;
+    const auto update = [&](int i, int im, int ip) {
+      const double e = w[i] - ur[i];
+      const double gx = 0.5 * (w[ip] - w[im]);
+      const double gy = 0.5 * (wn[i] - ws[i]);
       const double denom = gx * gx + gy * gy + alpha;
       double dx = -e * gx / denom;
       double dy = -e * gy / denom;
       // The linearization is only valid within about a pixel.
       dx = std::clamp(dx, -max_step, max_step);
       dy = std::clamp(dy, -max_step, max_step);
-      T.tx(i, j) += dx;
-      T.ty(i, j) += dy;
-    }
+      tx[i] += dx;
+      ty[i] += dy;
+    };
+    update(0, 0, above(0, nx));
+    for (int i = 1; i + 1 < nx; ++i) update(i, i - 1, i + 1);
+    if (nx > 1) update(nx - 1, nx - 2, nx - 1);
   }
+}
+
+// One row of smooth_mapping for one displacement component.
+void smooth_row(const util::Array2D<double>& t, int j, double lambda,
+                double factor, util::Array2D<double>& out) {
+  const int nx = t.nx();
+  const double* c = t.data() + static_cast<std::size_t>(j) * nx;
+  const double* s = t.data() + static_cast<std::size_t>(below(j)) * nx;
+  const double* n = t.data() + static_cast<std::size_t>(above(j, t.ny())) * nx;
+  double* o = out.data() + static_cast<std::size_t>(j) * nx;
+  const auto blend = [&](int i, int im, int ip) {
+    const double a = 0.25 * (c[im] + c[ip] + s[i] + n[i]);
+    o[i] = ((1.0 - lambda) * c[i] + lambda * a) * factor;
+  };
+  blend(0, 0, above(0, nx));
+  for (int i = 1; i + 1 < nx; ++i) blend(i, i - 1, i + 1);
+  if (nx > 1) blend(nx - 1, nx - 2, nx - 1);
 }
 
 // Diffusion smoothing of the mapping (the ||grad T||^2 term): a weighted
-// Jacobi step toward the 4-neighbor average.
-void smooth_mapping(double lambda, Mapping& T, Mapping& scratch) {
-  const int nx = T.nx(), ny = T.ny();
-  if (!scratch.same_shape(T)) scratch = Mapping(nx, ny);
+// Jacobi step toward the 4-neighbor average, scaled by `factor` (the
+// shrinkage toward zero displacement of the ||T||^2 term; 1 for none).
+void smooth_mapping(double lambda, double factor, Mapping& T,
+                    Mapping& scratch) {
+  const int ny = T.ny();
+  if (!scratch.same_shape(T)) scratch = Mapping(T.nx(), ny);
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const double ax = 0.25 * (T.tx.at_clamped(i - 1, j) +
-                                T.tx.at_clamped(i + 1, j) +
-                                T.tx.at_clamped(i, j - 1) +
-                                T.tx.at_clamped(i, j + 1));
-      const double ay = 0.25 * (T.ty.at_clamped(i - 1, j) +
-                                T.ty.at_clamped(i + 1, j) +
-                                T.ty.at_clamped(i, j - 1) +
-                                T.ty.at_clamped(i, j + 1));
-      scratch.tx(i, j) = (1.0 - lambda) * T.tx(i, j) + lambda * ax;
-      scratch.ty(i, j) = (1.0 - lambda) * T.ty(i, j) + lambda * ay;
-    }
+    smooth_row(T.tx, j, lambda, factor, scratch.tx);
+    smooth_row(T.ty, j, lambda, factor, scratch.ty);
   }
   std::swap(T.tx, scratch.tx);
   std::swap(T.ty, scratch.ty);
-}
-
-// Shrinkage toward zero displacement (the ||T||^2 term).
-void shrink_mapping(double factor, Mapping& T) {
-  if (factor >= 1.0) return;
-  for (double& v : T.tx) v *= factor;
-  for (double& v : T.ty) v *= factor;
 }
 
 // Exhaustive integer-shift search at the coarsest level: returns the
@@ -112,11 +138,16 @@ void global_shift_search(const util::Array2D<double>& u,
   for (int dy = -range_y; dy <= range_y; ++dy) {
     for (int dx = -range_x; dx <= range_x; ++dx) {
       double ssd = 0;
-      for (int j = 0; j < ny; ++j)
+      for (int j = 0; j < ny; ++j) {
+        const double* ur = u.data() + static_cast<std::size_t>(j) * nx;
+        const double* sr =
+            u0.data() +
+            static_cast<std::size_t>(std::clamp(j + dy, 0, ny - 1)) * nx;
         for (int i = 0; i < nx; ++i) {
-          const double e = u0.at_clamped(i + dx, j + dy) - u(i, j);
+          const double e = sr[std::clamp(i + dx, 0, nx - 1)] - ur[i];
           ssd += e * e;
         }
+      }
       if (ssd < best) {
         best = ssd;
         best_dx = dx;
@@ -135,9 +166,10 @@ Mapping upsample(const Mapping& coarse, int nx, int ny) {
   const double sy = static_cast<double>(coarse.ny() - 1) / std::max(ny - 1, 1);
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i) {
-      const double ci = i * sx, cj = j * sy;
-      fine.tx(i, j) = grid::bilinear_frac(coarse.tx, ci, cj) / sx;
-      fine.ty(i, j) = grid::bilinear_frac(coarse.ty, ci, cj) / sy;
+      const grid::BilinearStencil s =
+          grid::bilinear_stencil(coarse.nx(), coarse.ny(), i * sx, j * sy);
+      fine.tx(i, j) = s(coarse.tx) / sx;
+      fine.ty(i, j) = s(coarse.ty) / sy;
     }
   return fine;
 }
@@ -227,17 +259,17 @@ RegistrationResult register_fields(const util::Array2D<double>& u,
       for (int i = 0; i < nx; ++i) range = std::max(range, std::abs(ul(i, j)));
     const double alpha = std::max(1e-12, 1e-4 * range * range);
     const double lambda = std::min(0.45, opt.c2);
-    const double shrink = 1.0 / (1.0 + opt.c1);
+    // Per-sweep shrink of the ||T||^2 term; never an expansion.
+    const double shrink = std::min(1.0 / (1.0 + opt.c1), 1.0);
 
     util::Array2D<double> warped(nx, ny);
     Mapping scratch(nx, ny);
-    double prev = objective(ul, u0l, T, opt.c1, opt.c2, warped);
+    double prev = objective(ul, u0l, T, opt.c1, opt.c2, warped).value;
     for (int it = 0; it < opt.iters_per_level; ++it) {
       gauss_newton_sweep(ul, warped, alpha, opt.initial_step, T);
-      smooth_mapping(lambda, T, scratch);
-      smooth_mapping(lambda, T, scratch);
-      shrink_mapping(shrink, T);
-      const double J = objective(ul, u0l, T, opt.c1, opt.c2, warped);
+      smooth_mapping(lambda, 1.0, T, scratch);
+      smooth_mapping(lambda, shrink, T, scratch);
+      const double J = objective(ul, u0l, T, opt.c1, opt.c2, warped).value;
       ++res.iterations;
       if (prev - J < opt.tol * std::max(prev, 1e-300) && it > 4) break;
       prev = J;
@@ -246,14 +278,9 @@ RegistrationResult register_fields(const util::Array2D<double>& u,
 
   // Final metrics on the unsmoothed finest level.
   util::Array2D<double> warped(u.nx(), u.ny());
-  res.objective = objective(u, u0, T, opt.c1, opt.c2, warped);
-  double data = 0;
-  for (int j = 0; j < u.ny(); ++j)
-    for (int i = 0; i < u.nx(); ++i) {
-      const double e = warped(i, j) - u(i, j);
-      data += e * e;
-    }
-  res.data_term = data / (static_cast<double>(u.nx()) * u.ny());
+  const Objective last = objective(u, u0, T, opt.c1, opt.c2, warped);
+  res.objective = last.value;
+  res.data_term = last.data;
   res.T = std::move(T);
   return res;
 }

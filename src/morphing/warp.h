@@ -32,11 +32,12 @@ struct Mapping {
 };
 
 // out(i,j) = u(i + tx(i,j), j + ty(i,j))  — i.e. out = u o (I + T).
+// T must have u's shape (std::invalid_argument otherwise).
 void warp(const util::Array2D<double>& u, const Mapping& T,
           util::Array2D<double>& out);
 
 // Composition: returns S with (I + S) = (I + T1) o (I + T2), i.e.
-// S(x) = T2(x) + T1(x + T2(x)).
+// S(x) = T2(x) + T1(x + T2(x)). T1 and T2 must share a shape.
 [[nodiscard]] Mapping compose(const Mapping& T1, const Mapping& T2);
 
 // Approximate inverse of (I + T) by under-relaxed fixed-point iteration

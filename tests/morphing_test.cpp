@@ -4,12 +4,18 @@
 // a displaced fire toward the data — the paper's core Sec. 3.3 machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <thread>
 
+#include "la/backend.h"
 #include "morphing/menkf.h"
 #include "morphing/morph.h"
 #include "morphing/registration.h"
 #include "morphing/warp.h"
+#include "util/hash.h"
+#include "util/omp_compat.h"
 
 using namespace wfire::morphing;
 using wfire::util::Array2D;
@@ -107,6 +113,14 @@ TEST(Warp, InverseErrorDiagnostic) {
   EXPECT_NEAR(inverse_error(id, invert(id)), 0.0, 1e-12);
 }
 
+TEST(Warp, RejectsShapeMismatch) {
+  const Array2D<double> u = blob(32, 32, 16, 16, 4);
+  Array2D<double> out;
+  EXPECT_THROW(warp(u, Mapping(16, 16), out), std::invalid_argument);
+  EXPECT_THROW(compose(Mapping(32, 32), Mapping(32, 16)),
+               std::invalid_argument);
+}
+
 TEST(Warp, MaxNormReportsLargestDisplacement) {
   Mapping T(8, 8);
   T.tx(3, 3) = 3.0;
@@ -174,6 +188,32 @@ TEST(Registration, RejectsShapeMismatch) {
   const Array2D<double> a = blob(32, 32, 16, 16, 4);
   const Array2D<double> b = blob(16, 16, 8, 8, 2);
   EXPECT_THROW(register_fields(a, b, {}), std::invalid_argument);
+}
+
+TEST(Registration, BitwiseThreadInvariant) {
+  // The full-width data registration and the width-1 member registrations
+  // must agree to the bit: the objective (which the stopping test reads) is
+  // summed in one fixed order whatever the team width.
+  const int n = 96;
+  const Array2D<double> u0 = blob(n, n, 44, 50, 9, 100.0);
+  Array2D<double> u = blob(n, n, 53, 43, 8, 90.0);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) u(i, j) += 3.0 * std::sin(0.3 * i + 0.2 * j);
+  const auto run = [&](int width) {
+    const wfire::util::ScopedOmpNumThreads omp(width);
+    return register_fields(u, u0, {});
+  };
+  const RegistrationResult one = run(1);
+  const int wide =
+      std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
+  for (int rep = 0; rep < 3; ++rep) {
+    const RegistrationResult many = run(wide);
+    EXPECT_EQ(one.iterations, many.iterations);
+    EXPECT_EQ(one.objective, many.objective);
+    EXPECT_EQ(one.data_term, many.data_term);
+    EXPECT_TRUE(one.T.tx == many.T.tx);
+    EXPECT_TRUE(one.T.ty == many.T.ty);
+  }
 }
 
 TEST(Morph, EndpointIdentities) {
@@ -328,6 +368,63 @@ TEST(MorphingEnKF, CompanionFieldsMoveWithTheObservable) {
   }
 }
 
+TEST(MorphingEnKF, AnalysisDigestIsPinned) {
+  // Bitwise pin of one analysis (fields and stats) on a fixed 4-member 64^2
+  // problem with a companion field, at OpenMP width 1 and at a wide team.
+  // The LA backend, tile edge, QR scheme and EnKF factorization are fixed to
+  // the defaults, so WFIRE_LA_BACKEND / WFIRE_LA_BLOCK / WFIRE_QR_SCHEME /
+  // WFIRE_ENKF_FACTORIZATION in the environment cannot move the EnKF part. The two widths must agree on every platform.
+  // The constant was captured with GCC on x86-64 glibc, before the
+  // registration kernels and the per-member inversion were restructured;
+  // other targets may contract a*b+c into FMAs or sample exp() from another
+  // libm, so it is checked only where it was produced.
+  const wfire::la::ScopedBackend backend(wfire::la::Backend::kBlocked, 64);
+  const wfire::la::ScopedQrScheme qr(wfire::la::QrScheme::kAuto);
+  const auto digest_at = [](int width) {
+    const int n = 64;
+    Rng rng(7);
+    const Array2D<double> data = blob(n, n, 38, 30, 6, 10.0);
+    std::vector<MorphMember> members;
+    for (int k = 0; k < 4; ++k) {
+      MorphMember m;
+      const double cx = 26 + 2.0 * rng.normal(), cy = 33 + 2.0 * rng.normal();
+      m.fields.push_back(blob(n, n, cx, cy, 6, 10.0));
+      m.fields.push_back(blob(n, n, cx, cy, 9, -20.0));
+      members.push_back(std::move(m));
+    }
+    MorphingEnKFOptions mopt;
+    mopt.sigma_r = 0.5;
+    mopt.sigma_T = 0.5;
+    mopt.factorization = wfire::enkf::Factorization::kQr;
+    MorphingEnKF filter(mopt);
+    const wfire::util::ScopedOmpNumThreads omp(width);
+    const MorphingStats st = filter.analyze(members, data, rng);
+
+    wfire::util::Fnv1a h;
+    for (const auto& m : members)
+      for (const auto& f : m.fields)
+        for (const double v : f) h.f64(v);
+    h.f64(st.mean_registration_residual);
+    h.f64(st.data_registration_residual);
+    h.f64(st.max_mapping_norm);
+    h.f64(st.enkf.innovation_rms);
+    h.f64(st.enkf.increment_rms);
+    h.i32(st.enkf.n);
+    h.i32(st.enkf.m);
+    h.i32(st.enkf.N);
+    return h.digest();
+  };
+  const int wide =
+      std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
+  const std::uint64_t one = digest_at(1);
+  const std::uint64_t many = digest_at(wide);
+  EXPECT_EQ(one, many) << std::hex << "width 1: 0x" << one << ", width "
+                       << std::dec << wide << ": 0x" << std::hex << many;
+#if defined(__x86_64__) && defined(__GLIBC__)
+  EXPECT_EQ(one, 0x280fcd12c3b2b3dbULL) << "digest 0x" << std::hex << one;
+#endif
+}
+
 TEST(MorphingEnKF, ValidatesInputs) {
   MorphingEnKF filter;
   std::vector<MorphMember> empty;
@@ -340,4 +437,24 @@ TEST(MorphingEnKF, ValidatesInputs) {
   ragged[1].fields.push_back(Array2D<double>(8, 8, 0.0));
   ragged[1].fields.push_back(Array2D<double>(8, 8, 0.0));
   EXPECT_THROW(filter.analyze(ragged, data, rng), std::invalid_argument);
+
+  // Shapes are checked for every field of every member before any parallel
+  // region: a mis-shaped non-front member used to throw inside the member
+  // loop and terminate the process.
+  const Array2D<double> data32 = blob(32, 32, 16, 16, 4, 10.0);
+  std::vector<MorphMember> off(3);
+  for (auto& m : off) m.fields.push_back(data32);
+  off[1].fields[0] = blob(48, 48, 24, 24, 4, 10.0);
+  EXPECT_THROW(filter.analyze(off, data32, rng), std::invalid_argument);
+
+  std::vector<MorphMember> companion(3);
+  for (auto& m : companion) {
+    m.fields.push_back(data32);
+    m.fields.push_back(data32);
+  }
+  companion[2].fields[1] = Array2D<double>(32, 16, 0.0);
+  EXPECT_THROW(filter.analyze(companion, data32, rng), std::invalid_argument);
+
+  std::vector<MorphMember> fieldless(2);
+  EXPECT_THROW(filter.analyze(fieldless, data32, rng), std::invalid_argument);
 }
