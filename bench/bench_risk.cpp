@@ -53,10 +53,6 @@ static void BM_Risk_Sweep(benchmark::State& state) {
   opt.members = static_cast<int>(state.range(0));
   opt.threads = static_cast<int>(state.range(1));
   opt.horizon = 30.0;
-  // Force every member through the pool: each member's advance is small
-  // enough for default admission to serve it inline on the caller thread,
-  // which would serialize the sweep and hide the pool-width axis.
-  opt.inline_cell_steps = 0;
 
   long long runs = 0;
   for (auto _ : state) {
@@ -64,10 +60,6 @@ static void BM_Risk_Sweep(benchmark::State& state) {
     const risk::BurnProbabilityGrid grid = driver.run();
     benchmark::DoNotOptimize(grid.probability.data());
     runs += opt.members;
-    state.counters["inline_members"] =
-        static_cast<double>(driver.last_inline());
-    state.counters["pooled_members"] =
-        static_cast<double>(driver.last_pooled());
   }
   const double cell_steps_per_run =
       (opt.horizon / base.dt) * base.nx * base.ny;

@@ -1,13 +1,12 @@
 // Scenario-server load test: N independent fire scenarios served
 // concurrently by one in-process server. Measures end-to-end serving
-// throughput (cell-steps/s across the fleet) and how admission control
-// splits the request stream between the caller thread and the pool.
+// throughput (cell-steps/s across the fleet).
 //
-// Expected shape: throughput scales with pool threads until the fleet's
-// aggregate stencil work saturates the cores; the inline fraction depends
-// only on the threshold and grid sizes, not on load. Steady-state serving
-// performs no heap allocation, so per-request overhead stays flat as the
-// fleet grows.
+// Expected shape: the pool owns the cores (every job at OpenMP width 1), so
+// throughput scales with pool threads until the fleet's aggregate stencil
+// work saturates them, and process CPU time tracks wall time x threads.
+// Steady-state serving performs no heap allocation, so per-request overhead
+// stays flat as the fleet grows.
 //
 // Benchmark arguments: (scenarios, threads).
 #include <benchmark/benchmark.h>
@@ -50,10 +49,6 @@ static void BM_Serve_Load(benchmark::State& state) {
     server.wait_all();
 
     state.PauseTiming();
-    state.counters["inline_jobs"] =
-        static_cast<double>(server.total_inline());
-    state.counters["pooled_jobs"] =
-        static_cast<double>(server.total_pooled());
     server.shutdown();
     state.ResumeTiming();
   }
@@ -62,6 +57,7 @@ static void BM_Serve_Load(benchmark::State& state) {
 BENCHMARK(BM_Serve_Load)
     ->Args({8, 1})
     ->Args({8, 4})
+    ->Args({32, 1})
     ->Args({32, 4})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()

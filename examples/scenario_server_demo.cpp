@@ -1,10 +1,8 @@
 // The multi-fire scenario server under load: one in-process service stepping
-// many independent fire scenarios concurrently on a thread pool. Small
-// advance requests are served inline on the caller thread (admission
-// control), big ones queue to the pool; a runtime ignition request lights a
-// second fire mid-run; and a crash-recovery checkpoint taken halfway is
-// restored and advanced to the end, reproducing the uninterrupted scenario
-// bitwise.
+// many independent fire scenarios concurrently on a thread pool that owns
+// every core; a runtime ignition request lights a second fire mid-run; and
+// a crash-recovery checkpoint taken halfway is restored and advanced to the
+// end, reproducing the uninterrupted scenario bitwise.
 //
 // Run:  ./scenario_server_demo [scenarios=32] [minutes=6] [threads=4]
 //                              [ckpt_dir=serve_ckpt]
@@ -27,8 +25,7 @@ int main(int argc, char** argv) {
   sopt.checkpoint_dir = cfg.get_string("ckpt_dir", "serve_ckpt");
   serve::ScenarioServer server(sopt);
 
-  // A mixed fleet: three grid sizes so the default admission threshold
-  // routes the small fires inline and the large ones to the pool.
+  // A mixed fleet of three grid sizes.
   std::vector<serve::ScenarioId> ids;
   for (int k = 0; k < n_scenarios; ++k) {
     serve::ScenarioSpec spec;
@@ -44,19 +41,13 @@ int main(int argc, char** argv) {
         levelset::Ignition{levelset::CircleIgnition{cx, cy, 15.0, 0.0}}};
     ids.push_back(server.admit(spec));
   }
-  std::printf("admitted %d scenarios on %d pool threads "
-              "(inline threshold %ld cell-steps)\n",
-              server.scenarios(), sopt.threads > 0 ? sopt.threads : 0,
-              server.options().inline_cell_steps);
+  std::printf("admitted %d scenarios on %d pool threads\n",
+              server.scenarios(), sopt.threads > 0 ? sopt.threads : 0);
 
-  // Phase 1: everyone to the halfway mark. request_advance() returns true
-  // when admission control served the request on this thread.
-  int served_inline = 0;
-  for (const serve::ScenarioId id : ids)
-    if (server.request_advance(id, t_half)) ++served_inline;
+  // Phase 1: everyone to the halfway mark.
+  for (const serve::ScenarioId id : ids) server.request_advance(id, t_half);
   server.wait_all();
-  std::printf("phase 1: all at t=%.0f s (%d of %d requests served inline)\n",
-              t_half, served_inline, n_scenarios);
+  std::printf("phase 1: all at t=%.0f s\n", t_half);
 
   // Crash-recovery point for scenario 0, then a runtime ignition request: a
   // second fire that lights itself a little into phase 2.
@@ -70,16 +61,15 @@ int main(int argc, char** argv) {
   for (const serve::ScenarioId id : ids) server.request_advance(id, t_end);
   server.wait_all();
 
-  std::printf("%4s %6s %8s %10s %14s %8s\n", "id", "grid", "steps",
-              "burned[ha]", "route(in/pool)", "queued");
+  std::printf("%4s %6s %8s %10s %6s %8s\n", "id", "grid", "steps",
+              "burned[ha]", "jobs", "queued");
   double total_ha = 0;
   for (const serve::ScenarioId id : ids) {
     const serve::ScenarioStatus st = server.status(id);
     total_ha += st.burned_area / 1e4;
-    std::printf("%4d %3dx%-3d %7ld %10.3f %8ld/%-5ld %8d\n", id,
+    std::printf("%4d %3dx%-3d %7ld %10.3f %6ld %8d\n", id,
                 41 + 20 * (id % 3), 41 + 20 * (id % 3), st.steps,
-                st.burned_area / 1e4, st.inline_served, st.pooled_served,
-                st.queued_requests);
+                st.burned_area / 1e4, st.pooled_served, st.queued_requests);
   }
 
   // Kill/restore: resume scenario 0 from the halfway checkpoint, replay the
@@ -100,11 +90,10 @@ int main(int argc, char** argv) {
               "max |psi - psi_uninterrupted| = %.3g m\n",
               rid, ckpt.c_str(), t_half, t_end, max_diff);
 
-  // Machine-readable summary for the golden-value smoke check. Admission
-  // routes and the restore comparison are deterministic; wall times are not
-  // and stay out of the golden file.
+  // Machine-readable summary for the golden-value smoke check. Burned areas
+  // and the restore comparison are deterministic; wall times are not and
+  // stay out of the golden file.
   std::printf("SMOKE scenarios=%d\n", server.scenarios());
-  std::printf("SMOKE inline_phase1=%d\n", served_inline);
   std::printf("SMOKE total_burned_ha=%.6f\n", total_ha);
   std::printf("SMOKE burned0_ha=%.6f\n",
               server.status(ids[0]).burned_area / 1e4);

@@ -7,13 +7,17 @@
 // (serve/scenario_server): long-lived, with three priority classes so
 // interactive work overtakes bulk work, cooperative cancellation of not-yet-
 // started tasks, and an explicit two-mode shutdown (drain vs discard).
+// Every entry point (post, submit, parallel_for) feeds the same per-priority
+// FIFO rings. A ring only grows, so once it has held its deepest backlog,
+// post() of a small trivially copyable closure allocates nothing — the
+// server's steady-state serving path relies on that.
 #pragma once
 
 #include <array>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,6 +41,16 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
+  // Slots each priority ring starts with; a ring doubles when a push finds
+  // it full.
+  static constexpr std::size_t kInitialQueueCapacity = 64;
+
+  // Enqueues a fire-and-forget task: no future, so nothing is allocated
+  // beyond what std::function needs for f (nothing, for a closure of up to
+  // two pointers) and ring growth. An exception escaping f terminates the
+  // program; callers catch their own. Throws after shutdown.
+  void post(Priority p, std::function<void()> f);
+
   // Enqueues a task; the future resolves with its result (or exception).
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
@@ -48,12 +62,7 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
-      queues_[static_cast<std::size_t>(p)].emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
+    post(p, [task] { (*task)(); });
     return fut;
   }
 
@@ -64,9 +73,10 @@ class ThreadPool {
   // references).
   void parallel_for(int n, const std::function<void(int)>& fn);
 
-  // Discards every queued-but-unstarted task; their futures fail with
-  // std::future_error (broken_promise). Running tasks are unaffected and the
-  // pool stays usable. Returns the number of tasks discarded.
+  // Discards every queued-but-unstarted task, posted or submitted; the
+  // futures of submitted ones fail with std::future_error (broken_promise).
+  // Running tasks are unaffected and the pool stays usable. Returns the
+  // number of tasks discarded.
   std::size_t cancel_pending();
 
   // Stops accepting work and joins the workers. drain=true (the destructor's
@@ -79,11 +89,21 @@ class ThreadPool {
   [[nodiscard]] std::size_t pending() const;
 
  private:
+  // Grow-only FIFO ring of tasks; slots are reused, never freed.
+  struct Queue {
+    std::vector<std::function<void()>> slots;
+    std::size_t head = 0, count = 0;
+
+    void push(std::function<void()> f);
+    std::function<void()> pop();
+    std::size_t clear();  // returns the number of tasks dropped
+  };
+
   void worker_loop();
   std::size_t discard_queues_locked();
 
   std::vector<std::thread> workers_;
-  std::array<std::deque<std::function<void()>>, kPriorityLevels> queues_;
+  std::array<Queue, kPriorityLevels> queues_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

@@ -33,9 +33,9 @@ class ProductCache {
 
   // The product for (base, pert, opt): served from cache when present,
   // computed by one SweepDriver run otherwise (concurrent misses for the
-  // same key share that one run). Execution knobs in `opt` (threads,
-  // inline threshold) do not participate in the key — the product is
-  // bitwise-independent of them.
+  // same key share that one run). The execution knob in `opt` (threads)
+  // does not participate in the key — the product is bitwise-independent
+  // of it.
   [[nodiscard]] std::shared_ptr<const BurnProbabilityGrid> fetch(
       const serve::ScenarioSpec& base, const PerturbationSpec& pert,
       const SweepOptions& opt);

@@ -126,8 +126,6 @@ SweepDriver::SweepDriver(serve::ScenarioSpec base, PerturbationSpec pert,
 BurnProbabilityGrid SweepDriver::run() {
   serve::ServerOptions sopt;
   sopt.threads = opt_.threads;
-  if (opt_.inline_cell_steps >= 0)
-    sopt.inline_cell_steps = opt_.inline_cell_steps;
   sopt.max_scenarios = opt_.members;
   serve::ScenarioServer server(sopt);
 
@@ -153,8 +151,6 @@ BurnProbabilityGrid SweepDriver::run() {
     if (server.status(id).failed)
       throw std::runtime_error("SweepDriver: member " + std::to_string(id) +
                                " failed: " + server.error(id));
-  last_inline_ = server.total_inline();
-  last_pooled_ = server.total_pooled();
 
   BurnProbabilityGrid grid = acc.finalize();
   grid.key = product_key(base_, pert_, opt_);

@@ -8,12 +8,12 @@
 // (base, perturbation) — member k's spec comes from the counter-based
 // util::Rng::stream(pert.seed, k), its trajectory from the server's own
 // pure-function-of-spec contract, and the reduction is arrival-order-free.
-// The same sweep on any pool width, admission threshold, or thread count
-// produces a bitwise-identical product; product_key() therefore hashes only
+// The same sweep on any pool width or thread count produces a
+// bitwise-identical product; product_key() therefore hashes only
 // the fields that determine the product, never the execution knobs.
 //
 // Threading: run() owns a private server fleet for its duration; member
-// reductions happen on serving threads via completion hooks. A SweepDriver
+// reductions happen on pool workers via completion hooks. A SweepDriver
 // is single-use-at-a-time (run() is not reentrant); the returned grid is an
 // immutable value.
 #pragma once
@@ -41,9 +41,8 @@ struct PerturbationSpec {
 struct SweepOptions {
   int members = 64;             // K, the Monte Carlo sample size
   double horizon = 120.0;       // forecast horizon [s] (advance target)
-  // Execution knobs — bitwise-irrelevant to the product (see contract):
+  // Execution knob — bitwise-irrelevant to the product (see contract):
   int threads = 0;              // server pool width (<= 0: hardware)
-  long inline_cell_steps = -1;  // < 0: server default / WFIRE_SERVE_INLINE
 };
 
 // Member k's perturbed spec: a pure function of (base, pert, k). The draw
@@ -57,7 +56,7 @@ struct SweepOptions {
 // Content hash of everything that determines the product bitwise: the base
 // spec's trajectory fields (grid, winds, seed, fuel, ignitions, fire
 // options), the perturbation, K and the horizon. Execution knobs (threads,
-// admission threshold, realtime pacing) are deliberately excluded.
+// realtime pacing) are deliberately excluded.
 [[nodiscard]] std::uint64_t product_key(const serve::ScenarioSpec& base,
                                         const PerturbationSpec& pert,
                                         const SweepOptions& opt);
@@ -73,15 +72,10 @@ class SweepDriver {
   // Throws if any member scenario fails.
   [[nodiscard]] BurnProbabilityGrid run();
 
-  // Admission split of the last run() (how the fleet was served).
-  [[nodiscard]] long last_inline() const { return last_inline_; }
-  [[nodiscard]] long last_pooled() const { return last_pooled_; }
-
  private:
   serve::ScenarioSpec base_;
   PerturbationSpec pert_;
   SweepOptions opt_;
-  long last_inline_ = 0, last_pooled_ = 0;
 };
 
 }  // namespace wfire::risk

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/omp_compat.h"
 #include "util/rng.h"
@@ -19,12 +20,16 @@ constexpr double kCkptVersion = 2.0;  // v2 appended the fuel scales
 constexpr std::size_t kMetaCount = 22;
 constexpr std::size_t kIgnitionStride = 7;  // [type, 6 shape/time params]
 
-long env_inline_threshold(long fallback) {
-  const char* s = std::getenv("WFIRE_SERVE_INLINE");
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  return (end != nullptr && *end == '\0' && v >= 0) ? v : fallback;
+// A checkpoint meta double that must hold an integer in [lo, hi]. Checked
+// before the cast: converting NaN or an out-of-range double is undefined.
+double meta_integer(const std::vector<double>& m, std::size_t i,
+                    const char* field, double lo, double hi) {
+  const double v = m[i];
+  if (!(v >= lo && v <= hi) || v != std::floor(v))
+    throw std::invalid_argument(std::string("ScenarioServer: checkpoint meta ") +
+                                field + " is not an integer in range: " +
+                                std::to_string(v));
+  return v;
 }
 
 // Ignition <-> 7 doubles, for the checkpoint's "pending" section.
@@ -56,9 +61,39 @@ levelset::Ignition unpack_ignition(const double* in) {
 
 }  // namespace
 
+void validate(const ScenarioSpec& spec) {
+  auto reject = [](const std::string& what) {
+    throw std::invalid_argument("ScenarioSpec: " + what);
+  };
+  for (const auto& [name, n] :
+       {std::pair{"nx", spec.nx}, std::pair{"ny", spec.ny}})
+    if (n < 2)
+      reject(std::string(name) + " must be >= 2 (got " + std::to_string(n) +
+             ")");
+  for (const auto& [name, v] : {std::pair{"dx", spec.dx},
+                                std::pair{"dy", spec.dy},
+                                std::pair{"dt", spec.dt}})
+    if (!std::isfinite(v) || !(v > 0))
+      reject(std::string(name) + " must be finite and > 0 (got " +
+             std::to_string(v) + ")");
+  for (const auto& [name, v] : {std::pair{"wind_u", spec.wind_u},
+                                std::pair{"wind_v", spec.wind_v},
+                                std::pair{"wind_jitter", spec.wind_jitter}})
+    if (!std::isfinite(v))
+      reject(std::string(name) + " must be finite (got " + std::to_string(v) +
+             ")");
+  if (!(spec.wind_jitter >= 0))
+    reject("wind_jitter must be >= 0 (got " + std::to_string(spec.wind_jitter) +
+           ")");
+  if (!(spec.realtime_speedup >= 0))
+    reject("realtime_speedup must be >= 0 (got " +
+           std::to_string(spec.realtime_speedup) + ")");
+  if (!(spec.fuel_moisture_scale > 0) || !(spec.burn_time_scale > 0))
+    reject("fuel scales must be > 0");
+}
+
 ScenarioServer::ScenarioServer(ServerOptions opt)
     : opt_(std::move(opt)), pool_(opt_.threads) {
-  opt_.inline_cell_steps = env_inline_threshold(opt_.inline_cell_steps);
   if (opt_.request_capacity < 1)
     throw std::invalid_argument("ScenarioServer: request_capacity < 1");
   if (!opt_.checkpoint_dir.empty())
@@ -75,9 +110,7 @@ ScenarioServer::Scenario& ScenarioServer::at(ScenarioId id) const {
 }
 
 ScenarioId ScenarioServer::admit(const ScenarioSpec& spec) {
-  if (spec.dt <= 0) throw std::invalid_argument("ScenarioSpec: dt <= 0");
-  if (!(spec.fuel_moisture_scale > 0) || !(spec.burn_time_scale > 0))
-    throw std::invalid_argument("ScenarioSpec: fuel scales must be > 0");
+  validate(spec);
   auto s = std::make_unique<Scenario>();
   s->spec = spec;
   s->grid = grid::Grid2D(spec.nx, spec.ny, spec.dx, spec.dy);
@@ -140,25 +173,38 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   if (m[0] != kCkptVersion)
     throw std::runtime_error("ScenarioServer: unsupported checkpoint version");
 
+  // Every integer field is range-checked before it is cast; admit() below
+  // validates the rest of the spec.
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  constexpr double kU32Max = 4294967295.0;
   ScenarioSpec spec;
-  spec.nx = static_cast<int>(m[1]);
-  spec.ny = static_cast<int>(m[2]);
+  spec.nx = static_cast<int>(meta_integer(m, 1, "nx", 2, kIntMax));
+  spec.ny = static_cast<int>(meta_integer(m, 2, "ny", 2, kIntMax));
   spec.dx = m[3];
   spec.dy = m[4];
   spec.dt = m[5];
-  spec.fuel_category = static_cast<int>(m[6]);
+  spec.fuel_category =
+      static_cast<int>(meta_integer(m, 6, "fuel_category", 0, kIntMax));
   spec.wind_u = m[7];
   spec.wind_v = m[8];
   spec.wind_jitter = m[9];
-  spec.seed = static_cast<std::uint64_t>(m[10]) |
-              (static_cast<std::uint64_t>(m[11]) << 32);
+  spec.seed =
+      static_cast<std::uint64_t>(meta_integer(m, 10, "seed_lo", 0, kU32Max)) |
+      (static_cast<std::uint64_t>(meta_integer(m, 11, "seed_hi", 0, kU32Max))
+       << 32);
   spec.realtime_speedup = m[12];
   spec.fuel_moisture_scale = m[20];
   spec.burn_time_scale = m[21];
-  spec.fire.reinit_interval = static_cast<int>(m[16]);
+  spec.fire.reinit_interval =
+      static_cast<int>(meta_integer(m, 16, "reinit_interval", 0, kIntMax));
   spec.fire.use_heun = m[17] != 0.0;
   spec.fire.min_fuel_frac = m[18];
-  spec.fire.scheme = static_cast<levelset::UpwindScheme>(static_cast<int>(m[19]));
+  spec.fire.scheme = static_cast<levelset::UpwindScheme>(
+      static_cast<int>(meta_integer(m, 19, "scheme", 0, kIntMax)));
+  const long steps = static_cast<long>(
+      meta_integer(m, 14, "steps", 0, 9007199254740992.0));  // 2^53
+  const int steps_since_reinit =
+      static_cast<int>(meta_integer(m, 15, "steps_since_reinit", 0, kIntMax));
 
   const std::size_t n =
       static_cast<std::size_t>(spec.nx) * static_cast<std::size_t>(spec.ny);
@@ -175,8 +221,8 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   std::copy(tig_it->second.begin(), tig_it->second.end(), st.tig.begin());
   st.time = m[13];
   s.model->set_state(std::move(st));
-  s.steps = static_cast<long>(m[14]);
-  s.model->set_steps_since_reinit(static_cast<int>(m[15]));
+  s.steps = steps;
+  s.model->set_steps_since_reinit(steps_since_reinit);
   if (const auto pend_it = sec.find("pending"); pend_it != sec.end()) {
     const std::vector<double>& p = pend_it->second;
     std::vector<levelset::Ignition> pending;
@@ -193,17 +239,8 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   return id;
 }
 
-long ScenarioServer::estimate_cell_steps(const Scenario& s,
-                                         double until) const {
-  const double remaining = until - s.model->state().time;
-  if (remaining <= 0) return 0;
-  const double steps = std::ceil(remaining / s.spec.dt);
-  return static_cast<long>(steps * s.spec.nx * s.spec.ny);
-}
-
-bool ScenarioServer::request_advance(ScenarioId id, double until) {
+void ScenarioServer::request_advance(ScenarioId id, double until) {
   Scenario& s = at(id);
-  bool run_inline = false;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     if (!accepting_.load())
@@ -214,23 +251,13 @@ bool ScenarioServer::request_advance(ScenarioId id, double until) {
     r.kind = Request::Kind::kAdvance;
     r.until = until;
     ++s.ring_count;
-    if (s.running) return false;  // the in-flight job will pick it up
+    if (s.running) return;  // the in-flight job will pick it up
     s.running = true;
-    // Admission control (SNIPPETS #3 threshold strategy): small jobs are
-    // cheaper to serve on the caller thread than to dispatch.
-    run_inline = estimate_cell_steps(s, until) <= opt_.inline_cell_steps;
-    if (run_inline)
-      ++s.inline_served;
-    else
-      ++s.pooled_served;
+    ++s.pooled_served;
   }
-  if (run_inline) {
-    run_scenario(s, /*pooled=*/false);
-    return true;
-  }
-  pool_.submit(par::Priority::kNormal,
-               [this, &s] { run_scenario(s, /*pooled=*/true); });
-  return false;
+  // Two pointers: std::function stores the closure inline, and the pool's
+  // ring reuses its slots, so dispatch allocates nothing.
+  pool_.post(par::Priority::kNormal, [this, &s] { run_scenario(s); });
 }
 
 void ScenarioServer::request_ignite(ScenarioId id,
@@ -254,35 +281,22 @@ void ScenarioServer::request_ignite(ScenarioId id,
   s.model->set_pending_ignitions(std::move(pending));
 }
 
-void ScenarioServer::run_scenario(Scenario& s, bool pooled) {
+void ScenarioServer::run_scenario(Scenario& s) {
+  util::ScopedOmpNumThreads narrow(opt_.pooled_omp_threads);
   std::unique_lock<std::mutex> lock(s.mu);
   try {
-    if (pooled) {
-      util::ScopedOmpNumThreads narrow(opt_.pooled_omp_threads);
-      drain_requests(s, lock);
-    } else {
-      drain_requests(s, lock);
-    }
+    drain_requests(s, lock);
     // Ring drained: the scenario is about to go idle. The completion hook
     // runs under the lock (contract in the header: no server re-entry) and
     // before `running` flips, so wait() cannot return ahead of it; a
     // throwing hook takes the same failure path as a throwing advance.
     if (s.on_complete) s.on_complete(s.id, s.model->state());
-  } catch (...) {
-    if (s.error.empty()) {
-      try {
-        std::rethrow_exception(std::current_exception());
-      } catch (const std::exception& e) {
-        s.error = e.what();
-      } catch (...) {
-        s.error = "unknown error";
-      }
-    }
+  } catch (const std::exception& e) {
+    if (s.error.empty()) s.error = e.what();
     s.ring_count = 0;  // a failed scenario drops its queue rather than wedge
-    s.running = false;
-    s.idle_cv.notify_all();
-    if (!pooled) throw;
-    return;
+  } catch (...) {
+    if (s.error.empty()) s.error = "unknown error";
+    s.ring_count = 0;
   }
   s.running = false;
   s.idle_cv.notify_all();
@@ -310,7 +324,7 @@ void ScenarioServer::drain_requests(Scenario& s,
       double u = s.spec.wind_u, v = s.spec.wind_v;
       if (s.spec.wind_jitter > 0) {
         // Counter-based gust stream: a pure function of (seed, step), so the
-        // trajectory is independent of pool width, admission route, and any
+        // trajectory is independent of pool width, OpenMP width, and any
         // checkpoint/restore in between.
         util::Rng gust = util::Rng::stream(
             s.spec.seed, static_cast<std::uint64_t>(s.steps));
@@ -412,7 +426,6 @@ ScenarioStatus ScenarioServer::status(ScenarioId id) const {
   st.steps = s.steps;
   st.burned_area = s.model->burned_area();
   st.wall_seconds = s.wall_seconds;
-  st.inline_served = s.inline_served;
   st.pooled_served = s.pooled_served;
   st.checkpoints_written = s.checkpoints;
   st.deadlines_met = s.deadlines_met;
@@ -444,16 +457,6 @@ std::string ScenarioServer::error(ScenarioId id) const {
 int ScenarioServer::scenarios() const {
   std::lock_guard<std::mutex> lock(scenarios_mu_);
   return static_cast<int>(scenarios_.size());
-}
-
-long ScenarioServer::total_inline() const {
-  long total = 0;
-  for (int id = 0; id < scenarios(); ++id) {
-    Scenario& s = at(id);
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.inline_served;
-  }
-  return total;
 }
 
 long ScenarioServer::total_pooled() const {

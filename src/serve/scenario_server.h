@@ -2,10 +2,14 @@
 // the ROADMAP grows out of core/realtime + par/thread_pool. One process
 // serves many *independent* fire scenarios concurrently:
 //
-//  - Admission control (the threshold strategy of the Spark wildfire-risk
-//    platform, SNIPPETS.md #3): an advance request whose estimated cost in
-//    cell-steps is at or below ServerOptions::inline_cell_steps is served
-//    inline on the caller's thread; bigger requests queue to the pool.
+//  - Composition rule: the pool owns every core. Every advance request is
+//    served by a pool worker, and every job runs at OpenMP width
+//    ServerOptions::pooled_omp_threads (default 1), so P concurrent jobs use
+//    P x pooled_omp_threads cores and ServerOptions::threads is the server's
+//    core budget (the paper's Fig. 2: each member on its own processors).
+//    Handing a job to a worker costs far less than even the smallest advance
+//    (ROADMAP item 3 has the measured numbers), so no job is worth serving
+//    on the caller's thread instead.
 //  - Per-scenario arenas: everything a scenario needs in steady state — the
 //    fire model's stepping scratch, the flux output arrays, the request
 //    ring, the checkpoint section buffers — is allocated at admit(), so the
@@ -22,26 +26,30 @@
 // Reproducibility contract: a scenario's trajectory is a pure function of
 // its spec. Per-step wind gusts come from counter-based streams
 // (util::Rng::stream(seed, step)), so N scenarios served concurrently on any
-// pool width produce trajectories bitwise-identical to running each alone —
-// decorrelated across seeds, reproducible within one.
+// pool width and any pooled_omp_threads produce trajectories
+// bitwise-identical to running each alone — decorrelated across seeds,
+// reproducible within one.
 //
 // Ownership and threading contract:
 //  - The server owns every scenario it admits for its whole lifetime; ids
 //    are dense ints and never invalidated (there is no remove()). References
 //    returned by state() stay valid until the server is destroyed but may
 //    only be read while the scenario is idle (wait() first).
-//  - Each scenario has one mutex; at most one thread (caller or pool worker)
-//    advances a scenario at a time. Distinct scenarios never contend.
-//  - Completion hooks (set_completion_hook) fire on the serving thread —
-//    the caller's for inline jobs, a pool worker's for pooled ones — with
-//    the scenario lock held, each time its request ring drains. A hook must
-//    not call back into the server (the lock is held); it is the streaming
-//    reduction point for fleet workloads (risk::SweepDriver folds finished
-//    members into a burn-probability grid here). A throwing hook marks the
-//    scenario failed, like a throwing advance.
+//  - Each scenario has one mutex; at most one pool worker advances a
+//    scenario at a time. Distinct scenarios never contend.
+//  - Failures never reach the caller of request_advance: a throwing advance
+//    or hook marks the scenario failed (status(id).failed, error(id)), drops
+//    its queued requests and leaves it idle.
+//  - Completion hooks (set_completion_hook) fire on the serving pool worker
+//    with the scenario lock held, each time its request ring drains. A hook
+//    must not call back into the server (the lock is held); it is the
+//    streaming reduction point for fleet workloads (risk::SweepDriver folds
+//    finished members into a burn-probability grid here). A throwing hook
+//    marks the scenario failed, like a throwing advance.
 //  - Allocation: everything a scenario needs in steady state is carved at
-//    admit(); the serving path (request_advance/step/status) touches the
-//    heap only through a user-supplied completion hook, never itself.
+//    admit(); the serving path (request_advance -> pool worker -> step ->
+//    wait/status) touches the heap only through a user-supplied completion
+//    hook, never itself.
 #pragma once
 
 #include <atomic>
@@ -82,16 +90,18 @@ struct ScenarioSpec {
   fire::FireModelOptions fire;
 };
 
+// Throws std::invalid_argument, naming the field, unless: nx, ny >= 2;
+// dx, dy, dt finite and > 0; wind_u, wind_v, wind_jitter finite;
+// wind_jitter, realtime_speedup >= 0; both fuel scales > 0. admit() and
+// restore() run it before anything is built from the spec.
+void validate(const ScenarioSpec& spec);
+
 struct ServerOptions {
   int threads = 0;               // pool width (<= 0: hardware concurrency)
-  // Admission threshold in cell-steps (grid nodes x remaining steps): at or
-  // below runs inline on the caller thread, above queues to the pool.
-  // Env override: WFIRE_SERVE_INLINE.
-  long inline_cell_steps = 250000;
   int max_scenarios = 4096;
   int request_capacity = 64;     // per-scenario request ring slots
-  // OpenMP width inside pooled jobs. Scenario-level concurrency owns the
-  // cores; 1 keeps P pooled scenarios from fanning into P x omp threads.
+  // OpenMP width of every job. Scenario-level concurrency owns the cores;
+  // 1 keeps P concurrent scenarios from fanning into P x omp threads.
   int pooled_omp_threads = 1;
   std::string checkpoint_dir;    // empty: checkpointing off
   double checkpoint_interval = 0;  // sim seconds between periodic writes
@@ -104,14 +114,13 @@ struct ScenarioStatus {
   long steps = 0;
   double burned_area = 0;        // [m^2]
   double wall_seconds = 0;       // compute time spent serving this scenario
-  long inline_served = 0;        // advance requests served on caller threads
-  long pooled_served = 0;        // advance requests served by the pool
+  long pooled_served = 0;        // jobs dispatched to the pool
   long checkpoints_written = 0;
   long deadlines_met = 0;        // advances within sim/speedup wall budget
   long deadlines_missed = 0;     // (realtime_speedup > 0 only)
   int queued_requests = 0;
   bool running = false;          // a worker currently owns the model
-  bool failed = false;           // a pooled job threw; see status text below
+  bool failed = false;           // a job threw; see error()
 };
 
 class ScenarioServer {
@@ -123,19 +132,22 @@ class ScenarioServer {
   ScenarioServer& operator=(const ScenarioServer&) = delete;
 
   // Creates a scenario (allocating all of its steady-state arenas) and
-  // applies the spec's ignitions. Throws when at max_scenarios capacity.
+  // applies the spec's ignitions. Throws std::invalid_argument for a spec
+  // validate() rejects, std::runtime_error at max_scenarios capacity.
   ScenarioId admit(const ScenarioSpec& spec);
 
   // Recreates a scenario from a checkpoint written by this server. The spec
   // is stored in the file; the resumed trajectory is bitwise-identical to
-  // one that was never interrupted.
+  // one that was never interrupted. A meta field that is not a finite
+  // in-range integer where one is expected, or a spec validate() rejects,
+  // throws std::invalid_argument before any conversion.
   ScenarioId restore(const std::string& checkpoint_path);
 
-  // Requests an advance to absolute sim time `until`. Returns true when the
-  // request was served inline on this thread (admission control), false when
-  // it was queued (to the pool, or behind an already-running job). Throws if
-  // the scenario's request ring is full.
-  bool request_advance(ScenarioId id, double until);
+  // Requests an advance to absolute sim time `until` and returns at once:
+  // the request joins the scenario's ring, and an idle scenario is posted to
+  // the pool. Throws if the scenario's request ring is full or the server is
+  // shut down; a failure while advancing lands in status()/error().
+  void request_advance(ScenarioId id, double until);
 
   // Queues an ignition; it lights at its own ignition time once the
   // scenario's clock reaches it. Deterministic (solo-equivalent) whenever
@@ -173,7 +185,9 @@ class ScenarioServer {
   void shutdown();
 
   [[nodiscard]] int scenarios() const;
-  [[nodiscard]] long total_inline() const;
+  // Always 0: nothing is served inline. Kept only until a benchmark-only
+  // change drops perfbench's serve.inline_ratio, which reads it.
+  [[nodiscard]] long total_inline() const { return 0; }
   [[nodiscard]] long total_pooled() const;
   [[nodiscard]] const ServerOptions& options() const { return opt_; }
 
@@ -194,11 +208,11 @@ class ScenarioServer {
     long steps = 0;                    // lifetime step counter (gust streams)
     double wall_seconds = 0;
     double next_checkpoint = 0;
-    long inline_served = 0, pooled_served = 0, checkpoints = 0;
+    long pooled_served = 0, checkpoints = 0;
     long deadlines_met = 0, deadlines_missed = 0;
     std::string ckpt_path;             // fixed target; rename commits to it
     obs::Sections ckpt_sections;       // preallocated section buffers
-    std::string error;                 // first pooled-job failure
+    std::string error;                 // first job failure
     CompletionHook on_complete;        // fires when the ring drains
     // Fixed-capacity FIFO request ring (no allocation on enqueue/dequeue).
     std::vector<Request> ring;
@@ -209,11 +223,9 @@ class ScenarioServer {
   };
 
   Scenario& at(ScenarioId id) const;
-  void run_scenario(Scenario& s, bool pooled);
+  void run_scenario(Scenario& s);
   void drain_requests(Scenario& s, std::unique_lock<std::mutex>& lock);
   void write_checkpoint_locked(Scenario& s);
-  [[nodiscard]] long estimate_cell_steps(const Scenario& s,
-                                         double until) const;
 
   ServerOptions opt_;
   par::ThreadPool pool_;

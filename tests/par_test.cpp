@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -160,6 +161,78 @@ TEST(ThreadPool, ShutdownDiscardDropsQueuedTasks) {
   EXPECT_EQ(ran.load(), 0);
   for (auto& f : queued) EXPECT_THROW(f.get(), std::future_error);
   blocker.fut.get();  // the running task was never abandoned
+}
+
+TEST(ThreadPool, PostKeepsFifoWithinAPriorityAndHighOvertakes) {
+  ThreadPool pool(1);
+  Blocker blocker(pool);
+  std::vector<int> order;
+  std::mutex mu;
+  auto record = [&](int tag) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(tag);
+  };
+  for (int i = 10; i < 15; ++i)
+    pool.post(Priority::kNormal, [&record, i] { record(i); });
+  pool.post(Priority::kHigh, [&] { record(0); });
+  pool.post(Priority::kHigh, [&] { record(1); });
+  blocker.release();
+  pool.shutdown(/*drain=*/true);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 12, 13, 14}));
+}
+
+TEST(ThreadPool, CancelPendingDiscardsPostedTasks) {
+  ThreadPool pool(1);
+  Blocker blocker(pool);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 3; ++i)
+    pool.post(Priority::kNormal, [&] { ran.fetch_add(1); });
+  pool.post(Priority::kLow, [&] { ran.fetch_add(1); });
+  EXPECT_EQ(pool.pending(), 4u);
+  EXPECT_EQ(pool.cancel_pending(), 4u);
+  EXPECT_EQ(pool.pending(), 0u);
+  blocker.release();
+  pool.shutdown(/*drain=*/true);
+  EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(ThreadPool, ShutdownDrainRunsPostedTasks) {
+  std::atomic<int> ran{0};
+  ThreadPool pool(1);
+  Blocker blocker(pool);
+  for (int i = 0; i < 5; ++i)
+    pool.post(Priority::kNormal, [&] { ran.fetch_add(1); });
+  blocker.gate.set_value();
+  pool.shutdown(/*drain=*/true);
+  EXPECT_EQ(ran.load(), 5);
+  EXPECT_THROW(pool.post(Priority::kNormal, [] {}), std::runtime_error);
+  blocker.fut.get();
+}
+
+// The rings only grow: a backlog past the initial capacity must reallocate
+// without losing or reordering a queued task.
+TEST(ThreadPool, BacklogBeyondInitialRingCapacityRunsInOrder) {
+  constexpr int kTasks =
+      static_cast<int>(3 * ThreadPool::kInitialQueueCapacity + 5);
+  ThreadPool pool(1);
+  std::vector<int> order;
+  for (int round = 0; round < 2; ++round) {  // the second reuses the ring
+    SCOPED_TRACE(round);
+    order.clear();
+    Blocker blocker(pool);
+    for (int i = 0; i < kTasks; ++i) {
+      // Interleave a future-carrying submit to share the same ring.
+      if (i % 7 == 3)
+        (void)pool.submit([&order, i] { order.push_back(i); });
+      else
+        pool.post(Priority::kNormal, [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(pool.pending(), static_cast<std::size_t>(kTasks));
+    blocker.release();
+    pool.submit([] {}).get();  // queued last, so everything else ran
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+    for (int i = 0; i < kTasks; ++i) ASSERT_EQ(order[i], i);
+  }
 }
 
 // Stress for the TSan job: concurrent submitters racing a throwing

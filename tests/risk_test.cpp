@@ -269,7 +269,6 @@ TEST(Sweep, ProductKeyTracksProductNotExecution) {
   // Execution knobs are excluded by contract.
   SweepOptions exec = opt;
   exec.threads = 7;
-  exec.inline_cell_steps = 0;
   EXPECT_EQ(product_key(base, pert, exec), key);
 
   SweepOptions more = opt;
@@ -301,7 +300,7 @@ TEST(Sweep, DriverRejectsDegenerateOptions) {
 
 // ---------------------------------------------------------------------------
 // The sweep determinism pin from the acceptance criteria: a K=64 sweep is
-// bitwise-reproducible across pool widths and admission routing.
+// bitwise-reproducible across pool widths.
 
 TEST(Sweep, BitwiseReproducibleAcrossPoolWidths) {
   const serve::ScenarioSpec base = sweep_base(42);
@@ -310,22 +309,13 @@ TEST(Sweep, BitwiseReproducibleAcrossPoolWidths) {
   SweepOptions solo;
   solo.members = 64;
   solo.horizon = 10.0;
-  solo.threads = 1;
-  solo.inline_cell_steps = 1L << 40;  // everything inline, one thread
+  solo.threads = 1;  // one member at a time
 
   SweepOptions wide = solo;
-  wide.threads = 4;
-  wide.inline_cell_steps = 0;  // everything pooled, four threads
+  wide.threads = 4;  // four members at once
 
-  SweepDriver a(base, pert, solo);
-  const BurnProbabilityGrid ga = a.run();
-  EXPECT_EQ(a.last_inline(), 64);
-  EXPECT_EQ(a.last_pooled(), 0);
-
-  SweepDriver b(base, pert, wide);
-  const BurnProbabilityGrid gb = b.run();
-  EXPECT_EQ(b.last_inline(), 0);
-  EXPECT_EQ(b.last_pooled(), 64);
+  const BurnProbabilityGrid ga = SweepDriver(base, pert, solo).run();
+  const BurnProbabilityGrid gb = SweepDriver(base, pert, wide).run();
 
   EXPECT_EQ(ga.key, gb.key);
   EXPECT_TRUE(ga.burned_count == gb.burned_count);

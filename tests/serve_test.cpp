@@ -1,54 +1,18 @@
-// Scenario-server tests: admission control, concurrent-vs-solo bitwise
+// Scenario-server tests: spec validation, concurrent-vs-solo bitwise
 // reproducibility, crash-safe checkpoint kill/restore round trips, the
 // zero-allocation steady-state serving path, and graceful shutdown.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <new>
+#include <limits>
 
 #include "serve/scenario_server.h"
+#include "support/alloc_counter.h"
 
 using namespace wfire;
 using namespace wfire::serve;
-
-// ---------------------------------------------------------------------------
-// Global allocation counter for the zero-steady-state-allocation pin. The
-// thread_local flag scopes counting to the test thread (the inline serving
-// path runs on it), so idle pool workers and the OpenMP runtime don't show
-// up as noise. Disabled under sanitizers, which own the allocator.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define WFIRE_ALLOC_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define WFIRE_ALLOC_COUNTING 0
-#else
-#define WFIRE_ALLOC_COUNTING 1
-#endif
-#else
-#define WFIRE_ALLOC_COUNTING 1
-#endif
-
-#if WFIRE_ALLOC_COUNTING
-namespace {
-thread_local bool t_count_allocs = false;
-thread_local long t_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (t_count_allocs) ++t_alloc_count;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif
 
 namespace {
 
@@ -80,55 +44,123 @@ ScenarioSpec small_spec(std::uint64_t seed, double cx = 60.0,
   return spec;
 }
 
-// Reference trajectory: the same spec served alone, inline, on a one-thread
-// server. The reproducibility contract says everything else must match this
-// bitwise.
+// Reference trajectory: the same spec served alone on a one-thread pool
+// whose job runs at OpenMP width 4, where the concurrent servers below run
+// each job at width 1. The reproducibility contract says everything else
+// must match this bitwise.
 fire::FireState solo_state(const ScenarioSpec& spec, double until) {
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 1L << 40;  // everything inline
+  opt.pooled_omp_threads = 4;
   ScenarioServer server(opt);
   const ScenarioId id = server.admit(spec);
-  EXPECT_TRUE(server.request_advance(id, until));
+  server.request_advance(id, until);
   server.wait(id);
+  EXPECT_FALSE(server.status(id).failed) << server.error(id);
   return server.state(id);
 }
 
-}  // namespace
-
-TEST(ScenarioServer, AdmissionRoutesSmallJobsInlineAndBigToPool) {
+// Expects admit() to reject `spec` with a diagnostic naming `field`.
+void expect_rejected(const ScenarioSpec& spec, const std::string& field) {
+  SCOPED_TRACE(field);
   ServerOptions opt;
-  opt.threads = 2;
-  // 21x21 nodes -> 441 cell-steps per step: 10 steps fit, 11 don't.
-  opt.inline_cell_steps = 441 * 10;
+  opt.threads = 1;
   ScenarioServer server(opt);
-  const ScenarioId id = server.admit(small_spec(1));
-
-  EXPECT_TRUE(server.request_advance(id, 5.0));  // 10 steps: inline
-  server.wait(id);
-  EXPECT_FALSE(server.request_advance(id, 30.0));  // 50 more steps: pooled
-  server.wait(id);
-
-  const ScenarioStatus st = server.status(id);
-  EXPECT_EQ(st.inline_served, 1);
-  EXPECT_EQ(st.pooled_served, 1);
-  EXPECT_NEAR(st.sim_time, 30.0, 1e-9);
-  EXPECT_EQ(st.steps, 60);
-  EXPECT_FALSE(st.failed);
+  try {
+    (void)server.admit(spec);
+    ADD_FAILURE() << "admit accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(server.scenarios(), 0);
 }
 
-TEST(ScenarioServer, InlineThresholdEnvOverride) {
-  ASSERT_EQ(setenv("WFIRE_SERVE_INLINE", "777", 1), 0);
-  ScenarioServer server{ServerOptions{}};
-  unsetenv("WFIRE_SERVE_INLINE");
-  EXPECT_EQ(server.options().inline_cell_steps, 777);
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+TEST(ScenarioSpecValidation, RejectsGridsUnderTwoNodes) {
+  for (const int n : {1, 0, -5}) {
+    ScenarioSpec spec = small_spec(50);
+    spec.nx = n;
+    expect_rejected(spec, "nx");
+    spec = small_spec(50);
+    spec.ny = n;
+    expect_rejected(spec, "ny");
+  }
+}
+
+TEST(ScenarioSpecValidation, RejectsNonPositiveOrNonFiniteSpacingAndStep) {
+  for (const double bad : {0.0, -1.0, kNaN, kInf}) {
+    ScenarioSpec spec = small_spec(51);
+    spec.dx = bad;
+    expect_rejected(spec, "dx");
+    spec = small_spec(51);
+    spec.dy = bad;
+    expect_rejected(spec, "dy");
+    spec = small_spec(51);
+    spec.dt = bad;
+    expect_rejected(spec, "dt");
+  }
+}
+
+TEST(ScenarioSpecValidation, RejectsNonFiniteWinds) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    ScenarioSpec spec = small_spec(52);
+    spec.wind_u = bad;
+    expect_rejected(spec, "wind_u");
+    spec = small_spec(52);
+    spec.wind_v = bad;
+    expect_rejected(spec, "wind_v");
+    spec = small_spec(52);
+    spec.wind_jitter = bad;
+    expect_rejected(spec, "wind_jitter");
+  }
+}
+
+TEST(ScenarioSpecValidation, RejectsNegativeJitterAndSpeedup) {
+  ScenarioSpec spec = small_spec(53);
+  spec.wind_jitter = -0.1;
+  expect_rejected(spec, "wind_jitter");
+  spec = small_spec(53);
+  spec.realtime_speedup = -1.0;
+  expect_rejected(spec, "realtime_speedup");
+  spec.realtime_speedup = kNaN;
+  expect_rejected(spec, "realtime_speedup");
+  // The boundary values are valid: steady wind, no pacing.
+  spec = small_spec(53);
+  spec.wind_jitter = 0.0;
+  spec.realtime_speedup = 0.0;
+  EXPECT_NO_THROW(validate(spec));
+}
+
+TEST(ScenarioServer, RestoreRejectsNaNGridSizeBeforeCasting) {
+  TmpDir tmp;
+  ServerOptions opt;
+  opt.threads = 1;
+  opt.checkpoint_dir = kTmp;
+  ScenarioServer server(opt);
+  const ScenarioId id = server.admit(small_spec(54));
+  server.checkpoint_now(id);
+  obs::Sections sec = obs::StateFile::read(server.checkpoint_path(id));
+  sec["meta"][1] = kNaN;  // nx
+  const std::string bad = std::string(kTmp) + "/nan_nx.wfst";
+  obs::StateFile::write(bad, sec);
+  try {
+    (void)server.restore(bad);
+    FAIL() << "restore accepted a NaN nx";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nx"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(server.scenarios(), 1);  // nothing was admitted
 }
 
 TEST(ScenarioServer, ConcurrentScenariosBitwiseMatchSoloRuns) {
   constexpr int kScenarios = 6;
   ServerOptions opt;
   opt.threads = 4;
-  opt.inline_cell_steps = 0;  // force every advance through the pool
   ScenarioServer server(opt);
 
   std::vector<ScenarioSpec> specs;
@@ -143,10 +175,9 @@ TEST(ScenarioServer, ConcurrentScenariosBitwiseMatchSoloRuns) {
   for (const ScenarioId id : ids) server.request_advance(id, 16.0);
   server.wait_all();
   // Counters tally dispatched jobs, not requests: a follow-up request that
-  // lands while its scenario is running drains into the in-flight job. With
-  // the threshold at zero, every dispatch went through the pool.
+  // lands while its scenario is running drains into the in-flight job.
   EXPECT_GE(server.total_pooled(), kScenarios);
-  EXPECT_EQ(server.total_inline(), 0);
+  EXPECT_LE(server.total_pooled(), 2L * kScenarios);
 
   for (int k = 0; k < kScenarios; ++k) {
     SCOPED_TRACE("scenario " + std::to_string(k));
@@ -177,7 +208,6 @@ TEST(ScenarioServer, CheckpointKillRestoreRoundTripIsBitwise) {
   TmpDir tmp;
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 1L << 40;
   opt.checkpoint_dir = kTmp;
   ScenarioSpec spec = small_spec(42);
   // A delayed ignition still pending at checkpoint time: the queue must
@@ -219,7 +249,6 @@ TEST(ScenarioServer, PeriodicCheckpointsFollowTheCadence) {
   TmpDir tmp;
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 1L << 40;
   opt.checkpoint_dir = kTmp;
   opt.checkpoint_interval = 5.0;
   ScenarioServer server(opt);
@@ -282,7 +311,6 @@ TEST(ScenarioServer, IgniteRequestMatchesSpecIgnition) {
 
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 1L << 40;
   ScenarioServer server(opt);
   const ScenarioId id = server.admit(small_spec(6));
   server.request_ignite(id, late);
@@ -296,8 +324,6 @@ TEST(ScenarioServer, LoadManyConcurrentScenarios) {
   constexpr int kScenarios = 32;
   ServerOptions opt;
   opt.threads = 4;
-  // 21x21, dt 0.5: a 4 s advance (8 steps) stays inline, the 16 s one pools.
-  opt.inline_cell_steps = 441 * 10;
   ScenarioServer server(opt);
   std::vector<ScenarioId> ids;
   for (int k = 0; k < kScenarios; ++k)
@@ -308,9 +334,9 @@ TEST(ScenarioServer, LoadManyConcurrentScenarios) {
     server.request_advance(id, 20.0);
   }
   server.wait_all();
-  EXPECT_GT(server.total_inline(), 0);
-  EXPECT_GT(server.total_pooled(), 0);
-  EXPECT_EQ(server.total_inline() + server.total_pooled(), 2L * kScenarios);
+  // The second request either joins the in-flight job or starts its own.
+  EXPECT_GE(server.total_pooled(), kScenarios);
+  EXPECT_LE(server.total_pooled(), 2L * kScenarios);
   for (const ScenarioId id : ids) {
     const ScenarioStatus st = server.status(id);
     EXPECT_NEAR(st.sim_time, 20.0, 1e-9);
@@ -324,9 +350,10 @@ TEST(ScenarioServer, SteadyStateServingAllocatesNothing) {
 #if !WFIRE_ALLOC_COUNTING
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #else
+  // The whole pooled path: dispatch on this thread, the job on the lone
+  // pool worker, and wait/status back here. The counter is process-wide.
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 1L << 40;  // measure the inline serving path
   ScenarioServer server(opt);
   const ScenarioId id = server.admit(small_spec(7));
   // Warm-up: cross a redistancing boundary (reinit_interval = 8 steps) so
@@ -334,13 +361,14 @@ TEST(ScenarioServer, SteadyStateServingAllocatesNothing) {
   server.request_advance(id, 6.0);  // 12 steps
   server.wait(id);
 
-  t_alloc_count = 0;
-  t_count_allocs = true;
+  wfire::testing::start_counting_allocations();
   server.request_advance(id, 12.0);  // 12 more steps, reinits included
   server.wait(id);
-  t_count_allocs = false;
-  EXPECT_EQ(t_alloc_count, 0)
-      << "steady-state serving path touched the heap";
+  const ScenarioStatus st = server.status(id);
+  const long allocs = wfire::testing::stop_counting_allocations();
+  EXPECT_EQ(allocs, 0) << "steady-state serving path touched the heap";
+  EXPECT_EQ(st.steps, 24);
+  EXPECT_FALSE(st.failed);
 #endif
 }
 
@@ -348,7 +376,6 @@ TEST(ScenarioServer, GracefulShutdownDrainsAndRefusesNewWork) {
   TmpDir tmp;
   ServerOptions opt;
   opt.threads = 2;
-  opt.inline_cell_steps = 0;  // pooled, so work is in flight at shutdown
   opt.checkpoint_dir = kTmp;
   ScenarioServer server(opt);
   const ScenarioId a = server.admit(small_spec(8));
@@ -368,7 +395,6 @@ TEST(ScenarioServer, RequestRingOverflowIsDiagnosed) {
   ServerOptions opt;
   opt.threads = 1;
   opt.request_capacity = 2;
-  opt.inline_cell_steps = 0;
   ScenarioServer server(opt);
   const ScenarioId id = server.admit(small_spec(12));
   // Hold the lone worker busy so requests pile up in the ring.
@@ -387,7 +413,6 @@ TEST(ScenarioServer, RequestRingOverflowIsDiagnosed) {
 TEST(ScenarioServer, CompletionHookFiresOnEachRingDrain) {
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 1L << 40;  // inline: the hook runs on this thread
   ScenarioServer server(opt);
   const ScenarioId id = server.admit(small_spec(31));
 
@@ -420,7 +445,6 @@ TEST(ScenarioServer, CompletionHookFiresOnEachRingDrain) {
 TEST(ScenarioServer, ThrowingHookFailsTheScenario) {
   ServerOptions opt;
   opt.threads = 1;
-  opt.inline_cell_steps = 0;  // pooled: the failure path, like an advance
   ScenarioServer server(opt);
   const ScenarioId id = server.admit(small_spec(32));
   server.set_completion_hook(id, [](ScenarioId, const fire::FireState&) {
